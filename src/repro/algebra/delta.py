@@ -51,12 +51,27 @@ targets is safe", and every other row of the old pattern table fall out of
 the algebra instead of being enumerated — including for triggers on
 relations the expression never mentions.
 
-**Honest failure.**  Aggregates (``SUM``/``CNT``/``MLT`` and friends) over a
-*changed* input, and expressions over auxiliary relations (transition
-constraints), are not incrementalizable by these rules;
-:func:`delta_expression` raises :class:`NotIncrementalizable` and the caller
-keeps the full-state program.  Aggregates over untouched inputs simplify to
-empty like any other unaffected subtree.
+**Transition state is a constant.**  ``R@old`` is the pre-transaction state,
+which no statement of the transaction changes, so the transform treats it as
+a leaf like a :class:`~repro.algebra.expressions.Literal`: its deltas are
+empty and ``old(R@old) = R@old``.  For a transition constraint ``V(new, old)``
+the sandwich then reads ``V(new,old) − V(old,old)  ⊆  Δ⁺V  ⊆  V(new,old)``,
+and ``V(old,old)`` is no longer the pre-state value of a *state* check that
+Def 3.5 makes empty: it is the *null-transition residue*
+``V₀ = V[R@old ↦ R]`` on the pre-state.  ``Δ⁺V`` is exact when ``V₀ = ∅``;
+proving that premise is the caller's job
+(:func:`repro.core.optimization.differential_programs` discharges it at run
+time for key-joined transition checks and keeps the full check otherwise).
+
+**Honest failure.**  References to the transaction's own differentials
+(``R@plus`` / ``R@minus``) in the input expression, and aggregates
+(``SUM``/``CNT``/``MLT`` and friends) over a *changed* input, are not
+incrementalizable by these rules; :func:`delta_expression` raises
+:class:`NotIncrementalizable` and the caller keeps the full-state program.
+Aggregates over untouched inputs simplify to empty like any other unaffected
+subtree; aggregates over changed inputs are made cheap physically instead —
+``SUM``/``AVG`` read running values that relations and overlays maintain in
+O(|Δ|) (:meth:`repro.engine.relation.Relation.running_sum`).
 """
 
 from __future__ import annotations
@@ -89,13 +104,16 @@ def delta_expression(
     or ``None`` when the delta is provably empty — the *vacuous* case, where
     the triggers cannot change the expression's value at all.
 
+    ``R@old`` references are constant leaves (see the module docs for the
+    premise that makes the result exact on transition constraints).
+
     Raises :class:`NotIncrementalizable` when ``expr`` contains an
     aggregate/counting operator over an affected input, a cartesian-style
-    node the rules cannot bound, or a reference to an auxiliary relation
-    (transition constraints are outside the pre-state/delta algebra).
+    node the rules cannot bound, or a reference to a transaction
+    differential (``R@plus`` / ``R@minus``).
     """
     active = frozenset(triggers)
-    _check_auxiliary_free(expr)
+    _check_differential_free(expr)
     return _delta(expr, kind, active)
 
 
@@ -131,12 +149,15 @@ def _is_affected(expr: E.Expression, active: FrozenSet[tuple]) -> bool:
     return bool(expr.relations() & _affected_relations(active))
 
 
-def _check_auxiliary_free(expr: E.Expression) -> None:
+def _check_differential_free(expr: E.Expression) -> None:
     for name in expr.relations():
-        if naming.is_auxiliary(name):
+        if naming.split_auxiliary(name)[1] in (
+            naming.PLUS_SUFFIX,
+            naming.MINUS_SUFFIX,
+        ):
             raise NotIncrementalizable(
-                f"expression references auxiliary relation {name!r}; "
-                f"transition state is outside the delta algebra"
+                f"expression references transaction differential {name!r}; "
+                f"only R@old is a constant of the delta algebra"
             )
 
 

@@ -295,7 +295,9 @@ def _count_getter(relation: Relation):
     return relation._rows.__getitem__
 
 
-def _hash_buckets(relation: Relation, key_side: "_KeySide", need_rows: bool):
+def _hash_buckets(
+    relation: Relation, key_side: "_KeySide", need_rows: bool, probes: int
+):
     """The build side of a hash join/semijoin: key -> distinct rows.
 
     Reuses a pre-built persistent index when the key columns carry one; a
@@ -303,12 +305,16 @@ def _hash_buckets(relation: Relation, key_side: "_KeySide", need_rows: bool):
     pass this function would otherwise do ephemerally, and it persists);
     otherwise one hashing pass over the distinct rows.  With
     ``need_rows=False`` a bare key set is enough (semijoin membership).
+    ``probes`` is the probe side's distinct row count: a persistent index
+    serves at most that many of its buckets, which is what its usage
+    ledger records — two probes into a 10k-key index are two keys, not
+    10k.
     """
     key_fn, positions = key_side.bind(relation.schema)
     if positions is not None:
         index = relation.amortized_index(positions)
         if index is not None:
-            index.touch("build")
+            index.touch("build", probes)
             return index.buckets
     if not need_rows:
         return {key_fn(row) for row in relation.rows()}
@@ -323,7 +329,9 @@ def _hash_buckets(relation: Relation, key_side: "_KeySide", need_rows: bool):
     return buckets
 
 
-def _restricted_buckets(relation: Relation, key_side: "_KeySide", rows):
+def _restricted_buckets(
+    relation: Relation, key_side: "_KeySide", rows, probes: int
+):
     """Build-side buckets restricted to a survivor subset: ``(buckets, allowed)``.
 
     The fused-region pushdown path knows (from a right-side filter) which
@@ -338,7 +346,7 @@ def _restricted_buckets(relation: Relation, key_side: "_KeySide", rows):
     if positions is not None:
         index = relation.amortized_index(positions)
         if index is not None:
-            index.touch("build")
+            index.touch("build", probes)
             return index.buckets, frozenset(rows)
     buckets: dict = {}
     for row in rows:
@@ -884,17 +892,29 @@ class AggregateOp(PhysicalOperator):
     def execute(self, context) -> Relation:
         source = self.child.execute(context)
         position = source.schema.position_of(self.attr) - 1
-        values = [row[position] for row in source if row[position] is not NULL]
-        if self.func == "SUM":
-            value = sum(values) if values else 0
-        elif not values:
-            value = NULL
-        elif self.func == "AVG":
-            value = sum(values) / len(values)
-        elif self.func == "MIN":
-            value = min(values)
+        running = None
+        if self.func in ("SUM", "AVG"):
+            # O(1) on a maintained relation, O(|Δ|) on an overlay; None
+            # for non-int columns, whose sums are recomputed below.
+            running = source.running_sum(position)
+        if running is not None:
+            total, count = running
+            if self.func == "SUM":
+                value = total
+            else:
+                value = total / count if count else NULL
         else:
-            value = max(values)
+            values = [row[position] for row in source if row[position] is not NULL]
+            if self.func == "SUM":
+                value = sum(values) if values else 0
+            elif not values:
+                value = NULL
+            elif self.func == "AVG":
+                value = sum(values) / len(values)
+            elif self.func == "MIN":
+                value = min(values)
+            else:
+                value = max(values)
         name = f"{self.func.lower()}_{source.schema.attributes[position].name}"
         schema = RelationSchema("aggregate", [Attribute(name, ANY, nullable=True)])
         result = Relation(schema, [(value,)], _validated=True)
@@ -1202,12 +1222,13 @@ class HashJoinOp(_BinaryOp):
         ``right_restrict`` is only honoured on the residual-free paths
         (the fused caller gates on a true residual).
         """
+        probes = left.distinct_count()
         if right_restrict is None:
-            buckets = _hash_buckets(right, self.right_keys, need_rows=True)
+            buckets = _hash_buckets(right, self.right_keys, True, probes)
             allowed = None
         else:
             buckets, allowed = _restricted_buckets(
-                right, self.right_keys, right_restrict
+                right, self.right_keys, right_restrict, probes
             )
         left_key, positions = self.left_keys.bind(left.schema)
         get_bucket = buckets.get
@@ -1313,7 +1334,9 @@ class HashJoinOp(_BinaryOp):
                 result._rows = dict(zip(pairs, pair_counts))
             _trace(context, "join", len(left) + len(right), len(result))
             return result
-        buckets = _hash_buckets(right, self.right_keys, need_rows=True)
+        buckets = _hash_buckets(
+            right, self.right_keys, True, left.distinct_count()
+        )
         left_key, _ = self.left_keys.bind(left.schema)
         get_bucket = buckets.get
         insert = result.insert
@@ -1484,8 +1507,9 @@ class HashSemiJoinOp(_BinaryOp):
         """
         keep = self.keep_matching
         left_key, positions = self.left_keys.bind(left.schema)
+        probes = left.distinct_count()
         if not self._residual.is_true:
-            buckets = _hash_buckets(right, self.right_keys, need_rows=True)
+            buckets = _hash_buckets(right, self.right_keys, True, probes)
             residual = self._residual.bind(left.schema, right.schema)
             get_bucket = buckets.get
             if batch:
@@ -1523,7 +1547,7 @@ class HashSemiJoinOp(_BinaryOp):
                 for row, count in left._rows.items()
                 if has_match(row) is keep
             }
-        right_keys = _hash_buckets(right, self.right_keys, need_rows=False)
+        right_keys = _hash_buckets(right, self.right_keys, False, probes)
         # Row-wise probing forgoes one key computation + membership test per
         # distinct left row; charge that against a declared left index so a
         # hot probe side (e.g. a big working copy inside a write

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import weakref
+from collections import OrderedDict
 from typing import Iterator, Optional
 
 from repro.algebra import expressions as E
@@ -47,6 +48,7 @@ from repro.algebra import physical as X
 from repro.algebra import predicates as P
 from repro.algebra.expressions import _split_equi_predicate
 from repro.algebra.optimizer import optimize_expression
+from repro.engine import naming
 from repro.engine.relation import Relation
 from repro.errors import EvaluationError
 
@@ -54,13 +56,15 @@ ENGINES = ("naive", "planned")
 
 _default_engine = "planned"
 
-# Structural plan cache: Expression -> PhysicalOperator.  Bounded FIFO —
+# Structural plan cache: Expression -> PhysicalOperator.  Bounded LRU —
 # integrity programs and statement shapes are few; unbounded literal-heavy
-# workloads must not grow it without limit.
-_PLAN_CACHE: dict = {}
+# workloads must not grow it without limit, nor push out the rule plans
+# every transaction hits.
+_PLAN_CACHE: "OrderedDict" = OrderedDict()
 _PLAN_CACHE_LIMIT = 1024
 _plan_cache_hits = 0
 _plan_cache_misses = 0
+_plan_cache_evictions = 0
 
 
 def set_default_engine(engine: str) -> None:
@@ -216,8 +220,8 @@ def _is_cache_exempt(expression: E.Expression) -> bool:
     """Trivial plans that would churn the cache rather than benefit from it.
 
     Bare leaves, and the ``Rename(leaf)`` shape every ``Assign`` statement
-    wraps around its value — distinct literal insert/assign batches must not
-    FIFO-evict the integrity rules' precompiled plans.
+    wraps around its value — distinct literal insert/assign batches would
+    only churn out plans that are reused.
     """
     if isinstance(expression, (E.RelationRef, E.Delta, E.Literal)):
         return True
@@ -228,28 +232,37 @@ def _is_cache_exempt(expression: E.Expression) -> bool:
 
 def get_plan(expression: E.Expression) -> X.PhysicalOperator:
     """The cached physical plan of ``expression`` (compiling on miss)."""
-    global _plan_cache_hits, _plan_cache_misses
+    global _plan_cache_hits, _plan_cache_misses, _plan_cache_evictions
     if _is_cache_exempt(expression):
         return _lower(expression)
     plan = _PLAN_CACHE.get(expression)
     if plan is not None:
         _plan_cache_hits += 1
+        try:
+            _PLAN_CACHE.move_to_end(expression)
+        except KeyError:  # evicted by another thread meanwhile
+            pass
         return plan
     _plan_cache_misses += 1
     plan = compile_expression(expression)
     if len(_PLAN_CACHE) >= _PLAN_CACHE_LIMIT:
-        _PLAN_CACHE.pop(next(iter(_PLAN_CACHE)))
+        try:
+            _PLAN_CACHE.popitem(last=False)
+            _plan_cache_evictions += 1
+        except KeyError:  # emptied by another thread meanwhile
+            pass
     _PLAN_CACHE[expression] = plan
     return plan
 
 
 def clear_plan_cache() -> None:
-    global _plan_cache_hits, _plan_cache_misses
+    global _plan_cache_hits, _plan_cache_misses, _plan_cache_evictions
     _PLAN_CACHE.clear()
     _ESTIMATE_CACHE.clear()
     _REORDER_CACHE.clear()
     _plan_cache_hits = 0
     _plan_cache_misses = 0
+    _plan_cache_evictions = 0
 
 
 def plan_cache_info() -> dict:
@@ -257,6 +270,7 @@ def plan_cache_info() -> dict:
         "size": len(_PLAN_CACHE),
         "hits": _plan_cache_hits,
         "misses": _plan_cache_misses,
+        "evictions": _plan_cache_evictions,
         "limit": _PLAN_CACHE_LIMIT,
         "estimates": sum(len(per) for per in _ESTIMATE_CACHE.values()),
     }
@@ -708,10 +722,15 @@ def explain(expression: E.Expression) -> str:
 
 
 def statement_expressions(statement) -> Iterator[E.Expression]:
-    """The relation-valued expressions a statement will evaluate."""
-    expr = getattr(statement, "expr", None)
-    if isinstance(expr, E.Expression):
-        yield expr
+    """The relation-valued expressions a statement will evaluate.
+
+    A differential alarm may evaluate either of two: its delta when the
+    premise holds, its full check otherwise.
+    """
+    for field in ("delta", "expr"):
+        expr = getattr(statement, field, None)
+        if isinstance(expr, E.Expression):
+            yield expr
 
 
 def expression_leaves(expression: E.Expression) -> tuple:
@@ -765,11 +784,18 @@ def index_hints(expression: E.Expression) -> set:
     build side of hash joins, and equality selections — whenever that side
     is a direct scan of a named relation and the keys are plain columns.
     Auxiliary differentials (``R@plus``/``R@minus``) are skipped: they are
-    rebuilt per transaction, so a persistent index can never exist.
+    rebuilt per transaction, so a persistent index can never exist.  A hint
+    on ``R@old`` is a hint on ``R``: the pre-state resolves to the live base
+    relation while a transaction runs.
     """
     hints: set = set()
     _collect_hints(get_plan(expression), hints)
-    return {(name, attrs) for name, attrs in hints if "@" not in name}
+    advice = set()
+    for name, attrs in hints:
+        base, suffix = naming.split_auxiliary(name)
+        if suffix is None or suffix == naming.OLD_SUFFIX:
+            advice.add((base, attrs))
+    return advice
 
 
 def _collect_hints(op: X.PhysicalOperator, hints: set) -> None:

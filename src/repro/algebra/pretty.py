@@ -5,7 +5,8 @@ Two styles are provided:
 * :func:`render_expression` / :func:`render_statement` /
   :func:`render_program` produce the parseable functional notation of
   :mod:`repro.algebra.parser` (round-trip property: parsing the rendering
-  yields a structurally equal AST);
+  yields a structurally equal AST) — except a differential alarm, which
+  renders as ``if <premise> then <alarm> else <alarm>`` for reading only;
 * :func:`render_mathy` produces the paper's blackboard notation
   (``σ``, ``π``, ``⋈``, ``⋉``, ``⊳``, ``−``, ``∪``) used when regenerating
   Table 1 for side-by-side comparison with the paper.
@@ -156,6 +157,16 @@ def render_statement(statement: S.Statement) -> str:
             f"update({statement.relation}, "
             f"{render_predicate(statement.predicate)}, {assignments})"
         )
+    if isinstance(statement, S.DifferentialAlarm):
+        premise = " and ".join(
+            f"unique({name}[{', '.join(str(p + 1) for p in positions)}])"
+            for name, positions in statement.unique_keys
+        )
+        full = render_statement(S.Alarm(statement.expr, statement.message))
+        if statement.delta is None:
+            return f"if {premise} then skip else {full}"
+        delta = render_statement(S.Alarm(statement.delta, statement.message))
+        return f"if {premise} then {delta} else {full}"
     if isinstance(statement, S.Alarm):
         if statement.message:
             return (

@@ -157,7 +157,7 @@ class Alarm(Statement):
     message: Optional[str] = None
 
     def execute(self, context) -> None:
-        result = evaluate_expression(self.expr, context)
+        result = self.violations(context)
         if len(result) > 0:
             reason = self.message or "integrity alarm"
             sample = result.sorted_rows()[:3]
@@ -165,8 +165,51 @@ class Alarm(Statement):
                 f"{reason} ({len(result)} violating tuple(s), e.g. {sample})"
             )
 
+    def violations(self, context):
+        """The violating tuples: ``expr`` evaluated in ``context``."""
+        return evaluate_expression(self.expr, context)
+
     def relations_read(self) -> set:
         return self.expr.relations()
+
+
+@dataclass(frozen=True)
+class DifferentialAlarm(Alarm):
+    """``alarm(Δ⁺V)`` when a run-time premise holds, ``alarm(V)`` otherwise.
+
+    The differential form of a transition check (see
+    :mod:`repro.algebra.delta`): ``expr`` is the full violation expression
+    ``V`` and ``delta`` its trigger's ``Δ⁺V`` (None when provably empty).
+    ``Δ⁺V`` is exact only when the null-transition residue ``V[R@old ↦ R]``
+    is empty on the pre-state; ``unique_keys`` is the premise that proves
+    it, as ``(relation name, 0-based key positions)`` pairs that must each
+    be a unique key of the relation the name resolves to
+    (:meth:`~repro.engine.relation.Relation.key_is_unique`, O(1) on a base
+    relation with a built index).  Both branches abort with the same
+    message and, the premise holding, on the same violating tuples.
+    """
+
+    delta: Optional[Expression] = None
+    unique_keys: Tuple[Tuple[str, Tuple[int, ...]], ...] = ()
+
+    def premise_holds(self, context) -> bool:
+        return all(
+            context.resolve(name).key_is_unique(positions)
+            for name, positions in self.unique_keys
+        )
+
+    def violations(self, context):
+        if not self.premise_holds(context):
+            return evaluate_expression(self.expr, context)
+        if self.delta is None:
+            return ()  # provably empty; callers only take len() of it
+        return evaluate_expression(self.delta, context)
+
+    def relations_read(self) -> set:
+        names = set(self.expr.relations())
+        if self.delta is not None:
+            names |= self.delta.relations()
+        return names
 
 
 @dataclass(frozen=True)

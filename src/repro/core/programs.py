@@ -16,9 +16,12 @@ modification output is deterministic.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, Iterable, Iterator, List, Optional
 
+from repro.algebra import expressions as E
 from repro.algebra.programs import EMPTY_PROGRAM, Program, concat
+from repro.algebra.statements import DifferentialAlarm
 from repro.core.triggers import TriggerSet, get_trig_px
 from repro.engine.schema import DatabaseSchema
 
@@ -60,7 +63,7 @@ class IntegrityProgram:
                 pieces.append(piece)
         if not pieces:
             return EMPTY_PROGRAM
-        return concat(*pieces)
+        return _merge_differential_alarms(concat(*pieces))
 
     def __repr__(self) -> str:
         from repro.core.triggers import format_trigger_set
@@ -70,6 +73,41 @@ class IntegrityProgram:
             f"IntegrityProgram({self.name}, "
             f"WHEN {format_trigger_set(self.triggers)}{differential})"
         )
+
+
+def _merge_differential_alarms(program: Program) -> Program:
+    """One differential alarm per check across the matched triggers.
+
+    The triggers' deltas are united (the delta rules are linear), so a
+    premise that fails runs the full check once, not once per trigger.
+    """
+    merged: List = []
+    for statement in program.statements:
+        for position, earlier in enumerate(merged):
+            if (
+                isinstance(statement, DifferentialAlarm)
+                and isinstance(earlier, DifferentialAlarm)
+                and earlier.expr == statement.expr
+                and earlier.message == statement.message
+                and earlier.unique_keys == statement.unique_keys
+            ):
+                merged[position] = dataclasses.replace(
+                    earlier, delta=_union(earlier.delta, statement.delta)
+                )
+                break
+        else:
+            merged.append(statement)
+    if len(merged) == len(program.statements):
+        return program
+    return Program(merged, non_triggering=program.non_triggering)
+
+
+def _union(left, right):
+    if left is None or left == right:
+        return right
+    if right is None:
+        return left
+    return E.Union(left, right)
 
 
 def get_int_p(

@@ -30,7 +30,6 @@ import weakref
 from typing import Dict, List, Optional, Union
 
 from repro.algebra import planner
-from repro.algebra.evaluation import evaluate_expression
 from repro.algebra.parser import parse_program
 from repro.algebra.programs import Program
 from repro.algebra.statements import Alarm, Assign
@@ -365,7 +364,7 @@ class IntegrityController:
         context = _AuditContext(view)
         for statement in program:
             if isinstance(statement, Alarm):
-                result = evaluate_expression(statement.expr, context)
+                result = statement.violations(context)
                 if len(result) > 0:
                     return True, tuple(result.sorted_rows()[:AUDIT_SAMPLE])
             else:

@@ -13,7 +13,8 @@ variables — with the sets swapping roles when polarity flips:
   existential, or the consequent of an inclusion dependency) can be
   violated by **deletions** from R — a required tuple may disappear;
 * any aggregate or counting term over R can be perturbed by both ``INS(R)``
-  and ``DEL(R)``.
+  and ``DEL(R)``, and so can a transition check: a membership in ``R@old``
+  yields both, since the post state is what changes relative to it.
 
 A note on fidelity: the paper's ``GenTrigA`` expresses the membership rule
 via the variable sets ``V_u``/``V_e``; the archival scan garbles exactly
@@ -38,6 +39,7 @@ from typing import FrozenSet
 
 from repro.calculus import ast as C
 from repro.core.triggers import DEL, INS, TriggerSet
+from repro.engine import naming
 
 
 def generate_triggers(condition: C.Formula) -> TriggerSet:
@@ -84,6 +86,13 @@ def _gen_a(node: C.Formula, positive: bool) -> TriggerSet:
     if isinstance(node, C.Compare):
         return _gen_t(node.left) | _gen_t(node.right)
     if isinstance(node, C.Member):
+        base, suffix = naming.split_auxiliary(node.relation)
+        if suffix == naming.OLD_SUFFIX:
+            # The pre-state never changes inside a transaction; what moves
+            # is the post state compared against it, in either direction —
+            # a deletion leaves the null-transition residue V[R@old ↦ R]
+            # in place, and nothing proves that residue empty in general.
+            return frozenset({(INS, base), (DEL, base)})
         kind = DEL if positive else INS
         return frozenset({(kind, node.relation)})
     # Tuple equality carries no relation information of its own.

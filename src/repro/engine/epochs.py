@@ -727,6 +727,11 @@ class PinnedRelations:
         return f"PinnedRelations({self._pin!r}, {len(self._names)} relation(s))"
 
 
+#: :meth:`SnapshotRelation.running_sum`'s marker for a live base that keeps
+#: no running value to compose.
+_NOT_KEPT = object()
+
+
 class SnapshotRelation(OverlayRelation):
     """One base relation frozen at a pinned epoch, reconstructed O(Δ).
 
@@ -954,6 +959,50 @@ class SnapshotRelation(OverlayRelation):
         if self._materialized is not None:
             return Relation.rows_and_counts(self)
         return self._read(lambda: OverlayRelation.rows_and_counts(self))
+
+    def running_sum(self, position: int):
+        """The pinned state's running ``(sum, count)``, composed O(|undo|).
+
+        Composes the live base's running value only when the writer has
+        already built it: a reader never computes a cache on the live base
+        (it would race the writer's incremental updates), so without one
+        the snapshot materializes and sums its own frozen rows.
+        """
+        if self._materialized is None and not self._detached:
+
+            def compose():
+                sums = self.base._sums
+                if not sums or position not in sums:
+                    return _NOT_KEPT
+                return OverlayRelation.running_sum(self, position)
+
+            value = self._read(compose)
+            if value is not _NOT_KEPT:
+                return value
+        return Relation.running_sum(self, position)
+
+    def key_is_unique(self, positions) -> bool:
+        """Exact per-key and per-row counts of the pinned state, O(|undo|)
+        from the live base's built indexes; after materialization, from
+        local indexes over the frozen rows."""
+        if self._materialized is not None or self._detached:
+            return Relation.key_is_unique(self, positions)
+
+        def exact() -> bool:
+            wanted = set(positions)
+            for spec in self._index_specs():
+                if not wanted.issuperset(spec):
+                    continue
+                index = self.built_index(spec)
+                # The corrected key count of the plain overlay arithmetic:
+                # the snapshot's own bucket view would materialize.
+                if index is not None and len(
+                    _DeltaBuckets(index)
+                ) == OverlayRelation.distinct_count(self):
+                    return True
+            return False
+
+        return self._read(exact)
 
     def column_batch(self):
         if self._materialized is None and not self._detached:

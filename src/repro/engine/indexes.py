@@ -173,11 +173,13 @@ class HashIndex:
     def touch(self, kind: str = "bulk", keys: Optional[int] = None) -> None:
         """Record a bulk use (an operator consuming ``buckets`` wholesale).
 
-        ``keys`` is the exact number of keys the consumer probed or served;
-        it defaults to the full distinct-key count, which is what wholesale
-        consumption amounts to.
+        ``keys`` is the number of keys the consumer probed or served,
+        capped at the distinct-key count (no consumer is served more
+        buckets than exist); it defaults to that count, which is what
+        wholesale consumption amounts to.
         """
-        self.usage.record(kind, len(self.buckets) if keys is None else keys)
+        distinct = len(self.buckets)
+        self.usage.record(kind, distinct if keys is None else min(keys, distinct))
 
     def keys(self) -> Iterator:
         return iter(self.buckets)

@@ -66,6 +66,7 @@ class OverlayRelation(Relation):
         self.bag = base.bag
         self._indexes = None
         self._batch = None
+        self._sums = None
         self._observer = None
         self.base = base
         self.plus = plus
@@ -171,6 +172,27 @@ class OverlayRelation(Relation):
             - self.minus._rows.get(row, 0)
         )
 
+    def running_sum(self, position: int):
+        """The base's running ``(sum, count)`` corrected by the delta.
+
+        Bag-aware by the overlay invariant ``multiplicity = base + plus −
+        minus``: the same arithmetic :meth:`_merged_items` applies per row,
+        applied to the three running values instead — O(1) once the
+        differentials' own running values exist, which they build over
+        O(|Δ|) rows and then maintain as the transaction writes.
+        """
+        base = self.base.running_sum(position)
+        if base is None:
+            return None
+        plus = self.plus.running_sum(position)
+        minus = self.minus.running_sum(position)
+        if plus is None or minus is None:
+            return None
+        return (
+            base[0] + plus[0] - minus[0],
+            base[1] + plus[1] - minus[1],
+        )
+
     def rows_and_counts(self):
         """Batch iteration without materializing untouched overlays.
 
@@ -216,6 +238,19 @@ class OverlayRelation(Relation):
             self.minus.insert(row, _validated=True)
         return True
 
+    def insert_count(self, row: tuple, count: int, _validated: bool = False) -> bool:
+        # The inherited form would write into the materialized cache.
+        changed = False
+        for _ in range(count):
+            changed = self.insert(row, _validated) or changed
+        return changed
+
+    def delete_count(self, row: tuple, count: int) -> int:
+        removed = 0
+        while removed < count and self.delete(row):
+            removed += 1
+        return removed
+
     def clear(self) -> None:
         self._materialized = None
         self._batch = None
@@ -258,6 +293,9 @@ class OverlayRelation(Relation):
         if index is None:
             return None
         return self._index_view(index)
+
+    def _index_specs(self) -> tuple:
+        return self.base._index_specs()
 
     def _index_view(self, index) -> "OverlayIndex":
         view = self._index_views.get(index.positions)

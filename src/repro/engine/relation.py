@@ -47,7 +47,15 @@ def row_sort_key(row: tuple) -> tuple:
 class Relation:
     """A relation state: a (multi)set of typed tuples over a schema."""
 
-    __slots__ = ("schema", "bag", "_rows", "_indexes", "_batch", "_observer")
+    __slots__ = (
+        "schema",
+        "bag",
+        "_rows",
+        "_indexes",
+        "_batch",
+        "_sums",
+        "_observer",
+    )
 
     def __init__(
         self,
@@ -61,6 +69,7 @@ class Relation:
         self._rows: dict = {}
         self._indexes = None  # lazily an engine.indexes.IndexSet
         self._batch = None  # lazily a cached algebra.columnar.ColumnBatch
+        self._sums = None  # lazily {position: (sum, count) | None}
         # Mutation observer (the owning database's EpochManager on base
         # relations; None everywhere else): notified *before* every row
         # change so out-of-band mutations — ones bypassing the commit
@@ -156,6 +165,8 @@ class Relation:
             count = self._rows.get(row, 0)
             self._rows[row] = count + 1
             self._batch = None
+            if self._sums:
+                self._add_to_sums(row, 1)
             if count == 0 and self._indexes is not None:
                 self._indexes.row_added(row)
             return True
@@ -163,6 +174,8 @@ class Relation:
             return False
         self._rows[row] = 1
         self._batch = None
+        if self._sums:
+            self._add_to_sums(row, 1)
         if self._indexes is not None:
             self._indexes.row_added(row)
         return True
@@ -185,6 +198,8 @@ class Relation:
             if self._indexes is not None:
                 self._indexes.row_removed(row)
         self._batch = None
+        if self._sums:
+            self._add_to_sums(row, -1)
         return True
 
     def insert_count(self, row: tuple, count: int, _validated: bool = False) -> bool:
@@ -209,6 +224,8 @@ class Relation:
             count = 1
         self._rows[row] = existing + count
         self._batch = None
+        if self._sums:
+            self._add_to_sums(row, count)
         if existing == 0 and self._indexes is not None:
             self._indexes.row_added(row)
         return True
@@ -237,6 +254,8 @@ class Relation:
             if self._indexes is not None:
                 self._indexes.row_removed(row)
         self._batch = None
+        if self._sums:
+            self._add_to_sums(row, -removed)
         return removed
 
     def insert_many(self, rows: Iterable[tuple]) -> int:
@@ -252,6 +271,7 @@ class Relation:
             self._observer.note_mutation(self)
         self._rows.clear()
         self._batch = None
+        self._sums = None
         if self._indexes is not None:
             self._indexes.invalidate()
 
@@ -261,6 +281,7 @@ class Relation:
             self._observer.note_mutation(self)
         self._rows = dict(other._rows)
         self._batch = None
+        self._sums = None
         if self._indexes is not None:
             self._indexes.invalidate()
 
@@ -272,6 +293,58 @@ class Relation:
         the (now frozen) old dict, this relation mutates the copy.
         """
         self._rows = dict(self._rows)
+
+    # -- running aggregates ---------------------------------------------------
+
+    def running_sum(self, position: int):
+        """``(sum, count)`` of the non-NULL values at 0-based ``position``.
+
+        Multiplicities count (bag mode).  Computed once on first request and
+        then kept up to date by every row change in O(1), so ``SUM``/``AVG``
+        over a relation that changes by Δ cost O(|Δ|) instead of a scan.
+        The running value is exact only over ints: None means the column
+        holds another type (a float, say), whose sum must be recomputed in
+        scan order each time.  ``clear``/``replace_contents`` drop it.
+        Like the cached column batch, the value belongs to the thread that
+        mutates the relation; pinned readers compose it without computing
+        it (:meth:`repro.engine.epochs.SnapshotRelation.running_sum`).
+        """
+        sums = self._sums
+        if sums is None:
+            sums = self._sums = {}
+        elif position in sums:
+            return sums[position]
+        total = count = 0
+        for row, multiplicity in self.items():
+            value = row[position]
+            if value is NULL:
+                continue
+            if not isinstance(value, int):
+                total = None
+                break
+            total += value * multiplicity
+            count += multiplicity
+        entry = sums[position] = None if total is None else (total, count)
+        return entry
+
+    def _add_to_sums(self, row: tuple, multiplicity: int) -> None:
+        """Fold ``multiplicity`` occurrences of ``row`` (negative: removed)
+        into the running sums."""
+        sums = self._sums
+        for position, entry in sums.items():
+            if entry is None:
+                continue
+            value = row[position]
+            if value is NULL:
+                continue
+            if isinstance(value, int):
+                total, count = entry
+                sums[position] = (
+                    total + value * multiplicity,
+                    count + multiplicity,
+                )
+            else:
+                sums[position] = None
 
     # -- hash indexes ---------------------------------------------------------
 
@@ -313,6 +386,29 @@ class Relation:
         if self._indexes is None:
             return None
         return self._indexes.get_built(tuple(positions))
+
+    def _index_specs(self) -> tuple:
+        """Position tuples of the indexes this relation's probes can use."""
+        if self._indexes is None:
+            return ()
+        return self._indexes.specs()
+
+    def key_is_unique(self, positions) -> bool:
+        """True when a built index proves no two distinct rows agree on
+        the values at 0-based ``positions``.
+
+        The proof is an index on a subset of ``positions`` with one key per
+        distinct row — O(1) on a plain relation, O(|Δ|) on an overlay.
+        False means "not shown", never "duplicates exist".
+        """
+        wanted = set(positions)
+        for spec in self._index_specs():
+            if not wanted.issuperset(spec):
+                continue
+            index = self.built_index(spec)
+            if index is not None and index.distinct_keys == self.distinct_count():
+                return True
+        return False
 
     def amortized_index(self, positions, forgone_work=None):
         """The built index on ``positions``, building a *declared* one once
@@ -426,6 +522,7 @@ class Relation:
         # Database.__setstate__.
         state = object.__getstate__(self)
         state[1].pop("_batch", None)
+        state[1].pop("_sums", None)
         state[1].pop("_observer", None)
         return state
 
@@ -433,6 +530,7 @@ class Relation:
         for key, value in state[1].items():
             setattr(self, key, value)
         self._batch = None
+        self._sums = None
         self._observer = None
 
 
@@ -456,6 +554,7 @@ class ColumnarRelation(Relation):
         self._indexes = None
         self._materialized = None
         self._batch = None
+        self._sums = None
         self._observer = None
         for positions in batch.index_specs:
             self.declare_index(positions)
@@ -512,6 +611,7 @@ class ColumnarRelation(Relation):
             self._observer.note_mutation(self)
         self._materialized = {}
         self._batch = None
+        self._sums = None
         if self._indexes is not None:
             self._indexes.invalidate()
 
@@ -520,6 +620,7 @@ class ColumnarRelation(Relation):
             self._observer.note_mutation(self)
         self._materialized = dict(other._rows)
         self._batch = None
+        self._sums = None
         if self._indexes is not None:
             self._indexes.invalidate()
 

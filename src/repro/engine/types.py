@@ -66,6 +66,11 @@ class Domain:
     def __repr__(self) -> str:
         return f"Domain({self.name})"
 
+    def __reduce__(self):
+        # Unpickle to the shared singleton: domains are compared by
+        # identity (``self is BOOL``), also in worker processes.
+        return _singleton, (self.name,)
+
     def __str__(self) -> str:
         return self.name
 
@@ -115,6 +120,11 @@ _DOMAINS_BY_NAME = {
     "bool": BOOL,
     "boolean": BOOL,
 }
+
+
+def _singleton(name: str) -> Domain:
+    """The shared domain instance called ``name`` (unpickling hook)."""
+    return {domain.name: domain for domain in (INT, FLOAT, STRING, BOOL, ANY)}[name]
 
 
 def domain_by_name(name: str) -> Domain:

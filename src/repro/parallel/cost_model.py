@@ -258,6 +258,7 @@ def predict_audit_time(
     shipping-fragments comparison the fragment-aware pipeline makes.
     """
     from repro.algebra import planner
+    from repro.algebra.statements import DifferentialAlarm
 
     seconds = model.startup
     stats = None
@@ -278,6 +279,9 @@ def predict_audit_time(
         )
     for statement in program:
         expressions = list(planner.statement_expressions(statement))
+        if isinstance(statement, DifferentialAlarm):
+            # Priced as the branch it runs while its key premise holds.
+            expressions = expressions[:1] if statement.delta is not None else []
         formula = getattr(statement, "formula", None)
         if not expressions and formula is not None and database is not None:
             from repro.calculus.planned import compile_constraint

@@ -210,9 +210,41 @@ class TestHonestFailure:
             delta_expression(expr, [INS_S])
 
     def test_auxiliary_reference_rejected(self):
-        expr = E.Difference(R, E.RelationRef("r@old"))
-        with pytest.raises(NotIncrementalizable):
-            delta_expression(expr, [INS_R])
+        # The transaction's own differentials stay outside the algebra;
+        # r@old is a constant leaf (TestTransitionLeaf).
+        for name in ("r@plus", "r@minus"):
+            expr = E.Difference(R, E.RelationRef(name))
+            with pytest.raises(NotIncrementalizable):
+                delta_expression(expr, [INS_R])
+
+
+class TestTransitionLeaf:
+    OLD = E.RelationRef("r@old")
+    KEYED = P.Comparison("=", P.ColRef("a", "left"), P.ColRef("a", "right"))
+
+    def test_old_ref_is_a_constant(self):
+        expr = E.SemiJoin(R, self.OLD, self.KEYED)
+        assert delta_expression(expr, [INS_R]) == E.SemiJoin(
+            E.Delta("r", "plus"), self.OLD, self.KEYED
+        )
+        # Δ⁺ of a monotone check under deletions: nothing new can match.
+        assert delta_expression(expr, [DEL_R]) is None
+
+    def test_mirror_shape(self):
+        expr = E.SemiJoin(self.OLD, R, self.KEYED)
+        assert delta_expression(expr, [INS_R]) == E.SemiJoin(
+            self.OLD, E.Delta("r", "plus"), self.KEYED
+        )
+
+    def test_old_state_of_old_ref_is_itself(self):
+        expr = E.Difference(self.OLD, R)
+        # Δ⁺(old − r) = old ∩ Δ⁻r: the old ref is kept, never rewritten.
+        assert delta_expression(expr, [DEL_R]) == E.Intersection(
+            self.OLD, E.Delta("r", "minus")
+        )
+        assert old_expression(expr, [DEL_R]) == E.Difference(
+            self.OLD, self.OLD
+        )
 
 
 class TestOldExpression:

@@ -186,6 +186,27 @@ class TestPlanCache:
         info = planner.plan_cache_info()
         assert info["hits"] == 1 and info["misses"] == 1
 
+    def test_hits_refresh_recency(self, monkeypatch):
+        # LRU, not FIFO: a rule plan precompiled first and hit between
+        # statements outlives any stream of one-off literal-keyed plans.
+        monkeypatch.setattr(planner, "_PLAN_CACHE_LIMIT", 16)
+        planner.clear_plan_cache()
+        rule_plan = planner.get_plan(REFERENTIAL)
+        for key in range(2 * 16):
+            planner.get_plan(
+                E.Select(
+                    E.RelationRef("pk"),
+                    P.Comparison("=", P.ColRef("key"), P.Const(key)),
+                )
+            )
+            assert planner.get_plan(REFERENTIAL) is rule_plan
+        info = planner.plan_cache_info()
+        assert info["misses"] == 1 + 2 * 16
+        assert info["size"] == 16
+        assert info["evictions"] == 1 + 2 * 16 - 16
+        planner.clear_plan_cache()
+        assert planner.plan_cache_info()["evictions"] == 0
+
     def test_leaf_expressions_are_not_cached(self):
         planner.clear_plan_cache()
         planner.get_plan(E.RelationRef("fk"))
@@ -246,3 +267,11 @@ class TestEstimates:
         )
         hints = planner.index_hints(expr)
         assert hints == {("pk", ("key",))}
+        # R@old resolves to the live base inside a transaction: its hint is
+        # a hint on the base relation, the only place an index can live.
+        transition = E.SemiJoin(
+            E.RelationRef("pk@plus"),
+            E.RelationRef("pk@old"),
+            P.Comparison("=", P.ColRef("key", "left"), P.ColRef("key", "right")),
+        )
+        assert planner.index_hints(transition) == {("pk", ("key",))}
