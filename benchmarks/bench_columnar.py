@@ -1,22 +1,22 @@
-"""E10 — columnar batch execution vs the row-at-a-time operator loops.
+"""E10 — columnar (fused) execution vs the row-at-a-time operator loops.
 
 PRs 1-6 removed the asymptotic waste from enforcement; what remained was
 the constant factor of per-tuple Python interpretation inside the
-physical operators.  This benchmark runs the *same compiled plans* three
-times — row-at-a-time, whole-column kernels per operator, and fused
-pipeline regions — over identical data and asserts both the verdict
-parity and the speedups the issue gates on:
+physical operators.  This benchmark runs each expression twice over
+identical data — as its row plan (lowered without fused regions, every
+operator row-at-a-time) and as its default compiled plan (fused
+pipeline regions, the one whole-column path) — and asserts both the
+verdict parity and the speedup floors:
 
 * an operator ladder (large-scan selection, computed projection, hash
   join, select-project-join composite) at 100k rows, reported row vs
-  batch vs fused, so fusion's own win over per-operator batching is
-  visible in the artifact;
+  fused;
 * the **select-project-join chain** gated at >= 2x fused-over-row (the
   boundary materialization cost fusion exists to remove);
 * the **audit-shaped violation query** ``π[a](r ⊳ σ[d<1000](s))`` — the
   antijoin against qualified targets that referential integrity rules
   compile to (violators = rows with no valid target) — gated at >= 2x
-  on the per-operator batch path (the PR 7 gate, unchanged);
+  fused-over-row on the same expression;
 * the wire format: a 100k-row broadcast through the real
   :class:`~repro.parallel.procpool.ProcessFragmentPool` must ship at
   least 1.5x fewer bytes with columnar pickling than the per-row form.
@@ -37,10 +37,11 @@ from pathlib import Path
 import pytest
 
 from benchmarks import report
-from repro.algebra import columnar, planner
+from repro.algebra import planner
 from repro.algebra import expressions as E
 from repro.algebra import predicates as P
 from repro.algebra.evaluation import StandaloneContext
+from repro.algebra.optimizer import optimize_expression
 from repro.engine import Database, DatabaseSchema, RelationSchema
 from repro.engine.types import INT
 
@@ -48,9 +49,8 @@ EXPERIMENT = "E10 / columnar batch execution"
 ROWS_R = 100_000
 ROWS_S = 50_000
 ROUNDS = 4
-#: The audit-shaped plan must run >= this much faster on the
-#: per-operator batch path; the single-operator ladder rows are
-#: informational.
+#: The audit-shaped plan must run >= this much faster fused than
+#: row-at-a-time; the single-operator ladder rows are informational.
 COMPOSITE_SPEEDUP_FLOOR = 2.0
 #: The select-project-join chain must run >= this much faster fused
 #: (one kernel per region, tuples built only at the boundary) than
@@ -110,7 +110,7 @@ PLANS = {
             E.ProjectItem(P.ColRef(2)),
         ),
     ),
-    # π[a,b](r ⋈ s): hash join probe + batch pair assembly.
+    # π[a,b](r ⋈ s): hash join probe + columnar pair assembly.
     "join 100k x 50k": E.Project(
         _join_on_b_eq_c(),
         (E.ProjectItem(P.ColRef(1)), E.ProjectItem(P.ColRef(2))),
@@ -152,24 +152,18 @@ def _timed(plan, context) -> tuple:
     return best, result
 
 
-#: (batch policy, fusion policy) per execution mode.  "row" is the
-#: differential oracle; "batch" runs whole-column kernels but still
-#: materializes a relation at every operator boundary; "fused" compiles
-#: eligible scan/join→select→project chains into one kernel.
-MODES = {
-    "row": ("never", "never"),
-    "batch": ("always", "never"),
-    "fused": ("always", "always"),
-}
+def _row_plan(expression):
+    """The expression lowered without fused regions: row execution only."""
+    return planner._lower(optimize_expression(expression))
 
 
 @pytest.mark.benchmark(group="columnar")
 def test_batch_operator_ladder(benchmark):
     report.experiment(
         EXPERIMENT,
-        f"the same compiled plans over r({ROWS_R:,}) / s({ROWS_S:,}), "
-        "row-at-a-time vs whole-column kernels vs fused pipelines",
-        ["plan", "row (ms)", "batch (ms)", "fused (ms)", "batch", "fused"],
+        f"each expression over r({ROWS_R:,}) / s({ROWS_S:,}), "
+        "row plan vs the default plan's fused pipeline regions",
+        ["plan", "row (ms)", "fused (ms)", "fused"],
     )
 
     def run():
@@ -177,22 +171,13 @@ def test_batch_operator_ladder(benchmark):
         context = _context(db)
         measured = {}
         for name, expression in PLANS.items():
-            plan = planner.get_plan(expression)
             timings = {}
             results = {}
-            prev_batch = columnar.batch_policy()
-            prev_fusion = columnar.fusion_policy()
-            try:
-                for mode, (batch, fusion) in MODES.items():
-                    columnar.set_batch_policy(batch)
-                    columnar.set_fusion_policy(fusion)
-                    timings[mode], results[mode] = _timed(plan, context)
-            finally:
-                columnar.set_batch_policy(prev_batch)
-                columnar.set_fusion_policy(prev_fusion)
-            assert results["batch"] == results["row"], (
-                f"batch parity broken on {name!r}"
-            )
+            for mode, plan in (
+                ("row", _row_plan(expression)),
+                ("fused", planner.get_plan(expression)),
+            ):
+                timings[mode], results[mode] = _timed(plan, context)
             assert results["fused"] == results["row"], (
                 f"fused parity broken on {name!r}"
             )
@@ -202,35 +187,28 @@ def test_batch_operator_ladder(benchmark):
     measured = benchmark.pedantic(run, rounds=1, iterations=1)
     ladder = {}
     for name, (timings, cardinality) in measured.items():
-        speedup = timings["row"] / timings["batch"]
         fused_speedup = timings["row"] / timings["fused"]
         ladder[name] = {
             "row_seconds": timings["row"],
-            "batch_seconds": timings["batch"],
             "fused_seconds": timings["fused"],
             "output_rows": cardinality,
-            "speedup": speedup,
             "fused_speedup": fused_speedup,
-            "fused_over_batch": timings["batch"] / timings["fused"],
         }
         report.record(
             EXPERIMENT,
             name,
             f"{timings['row'] * 1000:.2f}",
-            f"{timings['batch'] * 1000:.2f}",
             f"{timings['fused'] * 1000:.2f}",
-            f"{speedup:.2f}x",
             f"{fused_speedup:.2f}x",
         )
     report.note(
         EXPERIMENT,
-        "identical physical plans; the batch path swaps the operator inner "
-        "loops for whole-column kernels and the fused path additionally "
-        "skips relation materialization between region operators, so "
-        "three-way verdict parity is asserted on every plan before any "
-        "timing is reported",
+        "the row plan runs every operator's row-at-a-time body; the default "
+        "plan runs its select/project chains as fused regions (whole-column "
+        "kernels, tuples built once per region); verdict parity is "
+        "asserted on every plan before any timing is reported",
     )
-    composite = ladder["audit plan (gated)"]["speedup"]
+    composite = ladder["audit plan (gated)"]["fused_speedup"]
     chain = ladder[CHAIN_PLAN]["fused_speedup"]
     _merge_json(
         {
@@ -245,7 +223,7 @@ def test_batch_operator_ladder(benchmark):
         }
     )
     assert composite >= COMPOSITE_SPEEDUP_FLOOR, (
-        f"audit-shaped plan batched at {composite:.2f}x, below the "
+        f"audit-shaped plan fused at {composite:.2f}x over row, below the "
         f"{COMPOSITE_SPEEDUP_FLOOR}x floor"
     )
     assert chain >= CHAIN_SPEEDUP_FLOOR, (

@@ -9,7 +9,7 @@ pytest-benchmark's own timing table).
 The gated benchmarks additionally emit ``bench_*.json`` artifacts (the
 files CI uploads); ``python -m benchmarks.report`` folds every artifact
 present on disk — incremental audit, transaction write path, the async
-pipeline with its executor ladder, and the columnar batch/wire numbers —
+pipeline with its executor ladder, and the columnar fused/wire numbers —
 into one gate-status summary table.
 """
 
@@ -140,30 +140,19 @@ def _artifact_rows(name: str, data: dict) -> List[list]:
                 ladder.get("process_speedup_floor") if ladder.get("gated") else None,
             ]
         )
+    ladder_floors = {
+        "audit plan (gated)": data.get("composite_speedup_floor"),
+        "select-project-join": data.get("chain_speedup_floor"),
+    }
     for plan, stats in data.get("ladder", {}).items():  # columnar operators
-        gated = plan == "audit plan (gated)"
         rows.append(
             [
                 name,
-                f"batch vs row: {plan}",
-                stats.get("speedup"),
-                data.get("composite_speedup_floor") if gated else None,
+                f"fused vs row: {plan}",
+                stats.get("fused_speedup"),
+                ladder_floors.get(plan),
             ]
         )
-        if "fused_speedup" in stats:
-            chain_gated = plan == "select-project-join"
-            rows.append(
-                [
-                    name,
-                    f"fused vs row: {plan}",
-                    stats.get("fused_speedup"),
-                    data.get("chain_speedup_floor") if chain_gated else None,
-                ]
-            )
-        if "fused_over_batch" in stats:
-            rows.append(
-                [name, f"fused vs batch: {plan}", stats.get("fused_over_batch"), None]
-            )
     for policy, ratio in data.get("retained", {}).items():  # durable log
         gated = policy == "interval"  # group commit carries the floor
         rows.append(

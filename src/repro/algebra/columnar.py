@@ -17,8 +17,10 @@ two sides:
   ``And``/``Or`` evaluate their second operand only on the row subset
   the row path would have evaluated it on (so data-dependent errors such
   as division by zero surface from the same rows), and NULL propagates
-  identically.  The physical operators use them batch-at-a-time while
-  the row path remains the differential oracle.
+  identically.  Fused pipeline regions
+  (:class:`~repro.algebra.physical.FusedPipelineOp`) — the one entry
+  into whole-column execution — use them batch-at-a-time while each
+  operator's row-at-a-time ``execute`` remains the differential oracle.
 
 * **A columnar wire format.**  :class:`ColumnBatch` stores a relation as
   one Python object per attribute plus a multiplicity vector and a null
@@ -31,15 +33,6 @@ two sides:
   threshold, and the process executors (:mod:`repro.core.procpool`,
   :mod:`repro.parallel.procpool`) route every replica, Δ blob, and
   fragment shipment through them.
-
-Batch execution is governed by a module-level policy (``"auto"`` /
-``"always"`` / ``"never"``): ``auto`` follows the planner's per-operator
-eligibility flags plus a runtime row-count guard, while the other two
-exist so tests and benchmarks can force either path and assert parity.
-A second, independent policy (:func:`fusion_policy`) governs whether the
-planner's *fused pipeline regions* execute as one kernel; keeping the
-two separate lets tests pin three-way equivalence (row vs unfused batch
-vs fused) over the same compiled plan.
 """
 
 from __future__ import annotations
@@ -77,73 +70,20 @@ __all__ = [
     "decode_relation",
     "encode_differentials",
     "decode_differentials",
-    "batch_policy",
-    "set_batch_policy",
-    "fusion_policy",
-    "set_fusion_policy",
     "BATCH_ESTIMATE_ROWS",
-    "BATCH_MIN_ROWS",
     "WIRE_MIN_ROWS",
 ]
 
-#: Planner-side eligibility: an operator whose input's *estimated*
-#: cardinality clears this floor gets a batch path.  Sits above the
+#: Planner-side eligibility: a fused region whose source's *estimated*
+#: cardinality clears this floor runs column-wise.  Sits above the
 #: default Δ-scan estimate (16 rows) so delta plans stay row-at-a-time,
 #: and well below the default base-relation estimate (1000 rows).
 BATCH_ESTIMATE_ROWS = 32.0
-
-#: Runtime guard: even an eligible operator falls back to the row path
-#: when the actual input is smaller than this — batch setup (column
-#: extraction, mask allocation) only pays for itself on real batches.
-BATCH_MIN_ROWS = 64
 
 #: Wire-format switch: relations with at least this many distinct rows
 #: ship as a :class:`ColumnBatch`; smaller ones pickle directly (the
 #: packing overhead would dominate).
 WIRE_MIN_ROWS = 512
-
-_POLICIES = ("auto", "always", "never")
-_policy = "auto"
-
-
-def batch_policy() -> str:
-    """The current module-wide batch execution policy."""
-    return _policy
-
-
-def set_batch_policy(policy: str) -> str:
-    """Set the policy; returns the previous value (for try/finally)."""
-    global _policy
-    if policy not in _POLICIES:
-        raise ValueError(f"unknown batch policy {policy!r}")
-    previous = _policy
-    _policy = policy
-    return previous
-
-
-_fusion = "auto"
-
-
-def fusion_policy() -> str:
-    """The current pipeline-fusion policy (``auto``/``always``/``never``).
-
-    ``auto`` runs a fused region as one kernel whenever the region's
-    source operator is batch-eligible; ``never`` makes every
-    :class:`~repro.algebra.physical.FusedPipelineOp` fall back to
-    operator-at-a-time execution (which still honours the batch policy),
-    so tests can compare fused vs unfused execution of one plan.
-    """
-    return _fusion
-
-
-def set_fusion_policy(policy: str) -> str:
-    """Set the fusion policy; returns the previous value."""
-    global _fusion
-    if policy not in _POLICIES:
-        raise ValueError(f"unknown fusion policy {policy!r}")
-    previous = _fusion
-    _fusion = policy
-    return previous
 
 
 # ---------------------------------------------------------------------------

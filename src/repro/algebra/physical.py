@@ -30,10 +30,9 @@ post-hoc operator traces.
 
 from __future__ import annotations
 
-from collections import Counter as _Counter
 from dataclasses import dataclass
-from itertools import chain, compress
-from operator import itemgetter as _itemgetter, not_ as _not
+from itertools import compress
+from operator import itemgetter as _itemgetter
 from typing import Dict, Optional, Tuple
 
 from repro.algebra import columnar
@@ -155,16 +154,6 @@ class PhysicalOperator:
     """Base class of physical operators: ``execute(context) -> Relation``."""
 
     op_name = "?"
-
-    #: Set by :func:`annotate_batch_eligibility` after lowering: operators
-    #: whose estimated input cardinality clears
-    #: :data:`repro.algebra.columnar.BATCH_ESTIMATE_ROWS` run their
-    #: whole-column batch path (subject to the runtime row-count guard).
-    batch_eligible = False
-
-    #: Set by :func:`annotate_batch_eligibility` on :class:`FusedPipelineOp`
-    #: regions whose source estimate clears the same floor.
-    fuse_eligible = False
 
     def execute(self, context) -> Relation:
         raise NotImplementedError
@@ -390,67 +379,22 @@ class _PredicateCache:
         return kernel
 
 
-def _batch_mode(op: "PhysicalOperator", input_rows: int) -> bool:
-    """Should ``op`` take its whole-column path for this execution?
-
-    ``auto`` (the default) requires both the planner's eligibility flag
-    (estimated input ≥ :data:`~repro.algebra.columnar.BATCH_ESTIMATE_ROWS`,
-    so Δ-scans stay row-at-a-time) and an actual input large enough to
-    amortize batch setup.  ``always``/``never`` let tests and benchmarks
-    pin either path and assert parity.
-    """
-    policy = columnar.batch_policy()
-    if policy == "auto":
-        return op.batch_eligible and input_rows >= columnar.BATCH_MIN_ROWS
-    return policy == "always"
-
-
-_BATCH_OPERATORS: tuple = ()  # filled after the operator classes are defined
-
-
-def _fuse_mode(op: "PhysicalOperator") -> bool:
-    """Should this fused region execute as one batch kernel?
-
-    ``auto`` requires the planner's region eligibility (the source
-    operator's estimated output clears the batch floor, so Δ-shaped
-    regions stay row-at-a-time) and defers to a ``never`` batch policy;
-    ``always``/``never`` let tests pin fused vs unfused execution of the
-    same plan.
-    """
-    policy = columnar.fusion_policy()
-    if policy == "auto":
-        return op.fuse_eligible and columnar.batch_policy() != "never"
-    return policy == "always"
-
-
 def annotate_batch_eligibility(plan: "PhysicalOperator", cards=None) -> None:
-    """Flag batch-capable operators whose estimated input is large enough.
+    """Flag the fused regions whose source is estimated large enough.
 
-    Called once per lowering (plans are cached and shared, so the flag is
-    set before a plan becomes visible to concurrent executors and never
-    mutated afterwards).  The per-operator decision reads the *input*
-    estimate — a filter over a default base scan (1000 rows) batches, a
-    filter over a Δ-scan (default |Δ| = 16) stays row-at-a-time.  Fused
-    pipeline regions are flagged from their source operator's estimate
-    under the same floor.
+    A region runs its whole-column path only when its source operator's
+    estimated output clears :data:`~repro.algebra.columnar.
+    BATCH_ESTIMATE_ROWS`: a region over a default base scan (1000 rows)
+    runs fused, one over a Δ-scan (default |Δ| = 16) stays row-at-a-time.
+    Called once per lowering, before the plan becomes visible to
+    concurrent executors, and again with observed statistics when they
+    drift (both paths are verdict-identical; the flag only steers cost).
     """
     for op in _walk_plan(plan):
         if isinstance(op, FusedPipelineOp):
             op.fuse_eligible = (
                 op.source.estimate(cards).rows >= columnar.BATCH_ESTIMATE_ROWS
             )
-            continue
-        if not isinstance(op, _BATCH_OPERATORS):
-            continue
-        if isinstance(op, (FilterOp, ProjectOp)):
-            feeder = op.child
-        elif isinstance(op, (UnionOp, DifferenceOp)):
-            feeder = op.right  # the side the row path loops over in Python
-        else:  # joins and semi/antijoins batch their probe (left) loop
-            feeder = op.left
-        op.batch_eligible = (
-            feeder.estimate(cards).rows >= columnar.BATCH_ESTIMATE_ROWS
-        )
 
 
 def _walk_plan(plan):
@@ -586,16 +530,8 @@ class FilterOp(PhysicalOperator):
 
     def execute(self, context) -> Relation:
         source = self.child.execute(context)
-        src_rows = source._rows
-        if _batch_mode(self, len(src_rows)):
-            mask = self._pred.bind_kernel(source.schema)(list(src_rows))
-            result = Relation(source.schema, bag=source.bag)
-            # compress keeps truthy mask entries — exactly the ``is True``
-            # rule of three-valued logic (False and None both drop).
-            result._rows = dict(compress(src_rows.items(), mask))
-        else:
-            test = self._pred.bind(source.schema)
-            result = source.filtered(lambda row: test(row) is True)
+        test = self._pred.bind(source.schema)
+        result = source.filtered(lambda row: test(row) is True)
         _trace(context, "select", len(source), len(result))
         return result
 
@@ -611,6 +547,8 @@ class FilterOp(PhysicalOperator):
         """
         rows = batch.rows_list()
         mask = self._pred.bind_kernel(batch.schema)(rows)
+        # compress keeps truthy mask entries — exactly the ``is True``
+        # rule of three-valued logic (False and None both drop).
         out_rows = list(compress(rows, mask))
         counts = batch.counts
         out_counts = (
@@ -638,27 +576,30 @@ class FilterOp(PhysicalOperator):
 
 
 class IndexSelectOp(PhysicalOperator):
-    """Equality selection over a base relation, index-accelerated.
+    """Equality selection over a scanned relation, index-accelerated.
 
-    Compiled from ``σ[col = const ∧ residual](R)``.  When ``R`` resolves to
-    a relation carrying a built hash index on exactly the equality columns,
-    the matching rows come from one bucket lookup; otherwise the operator
-    degrades to the plain filter path.  NULL constants never reach this
-    operator (the planner keeps them in the residual: NULL compares unknown,
-    but an index bucket would match it by identity).
+    Compiled from ``σ[col = const ∧ residual](R)`` where ``R`` is a scan or
+    Δ-scan leaf (``leaf``), which also prices the estimate.  When ``R``
+    resolves to a relation carrying a built hash index on exactly the
+    equality columns, the matching rows come from one bucket lookup;
+    otherwise the operator degrades to the plain filter path.  NULL
+    constants never reach this operator (the planner keeps them in the
+    residual: NULL compares unknown, but an index bucket would match it
+    by identity).
     """
 
     op_name = "select"
 
     def __init__(
         self,
-        name: str,
+        leaf: PhysicalOperator,
         attrs: Tuple[object, ...],
         values: tuple,
         residual: P.Predicate,
         full_predicate: P.Predicate,
     ):
-        self.name = name
+        self.leaf = leaf
+        self.name = leaf.name
         self.attrs = attrs
         self.values = values
         self.key = values[0] if len(values) == 1 else values
@@ -705,7 +646,7 @@ class IndexSelectOp(PhysicalOperator):
         return result
 
     def estimate(self, cards=None) -> PlanEstimate:
-        rows = _card(cards, self.name)
+        rows = self.leaf.estimate(cards).rows
         distinct = _distinct_keys(cards, self.name, tuple(self.attrs))
         if distinct is not None:
             # The classic |R| / V(R, a) estimate from observed distinct keys.
@@ -769,27 +710,11 @@ class ProjectOp(PhysicalOperator):
 
     def execute(self, context) -> Relation:
         source = self.child.execute(context)
-        compiled, out_schema, row_maker = self._bind(source.schema)
+        compiled, out_schema, _ = self._bind(source.schema)
         result = Relation(out_schema, bag=source.bag)
-        src_rows = source._rows
-        if _batch_mode(self, len(src_rows)):
-            rows, counts = source.rows_and_counts()
-            out_rows = row_maker(rows)
-            if counts is None:
-                if source.bag:
-                    result._rows = dict(_Counter(out_rows))
-                else:
-                    result._rows = dict.fromkeys(out_rows, 1)
-            else:
-                merged: dict = {}
-                get = merged.get
-                for row, count in zip(out_rows, counts):
-                    merged[row] = get(row, 0) + count
-                result._rows = merged
-        else:
-            insert = result.insert
-            for row in source:
-                insert(tuple(fn(row) for fn in compiled), _validated=True)
+        insert = result.insert
+        for row in source:
+            insert(tuple(fn(row) for fn in compiled), _validated=True)
         _trace(context, "project", len(source), len(result))
         return result
 
@@ -1013,10 +938,6 @@ class UnionOp(_BinaryOp):
                     merged[row] = merged.get(row, 0) + (
                         count if right.bag else 1
                     )
-            elif _batch_mode(self, len(right._rows)):
-                # Set mode: every multiplicity is 1, so the whole union is
-                # one C-level pass (first occurrence wins, like setdefault).
-                merged = dict.fromkeys(chain(left._rows, right._rows), 1)
             else:
                 merged = dict(left._rows)
                 for row in right._rows:
@@ -1065,7 +986,6 @@ class DifferenceOp(_BinaryOp):
             not left.bag
             and not right.bag
             and len(right._rows) > len(left._rows)
-            and _batch_mode(self, len(right._rows))
         ):
             # Subtracting a big set from a small one: scan the small side
             # with membership tests instead of popping per right row.
@@ -1326,14 +1246,6 @@ class HashJoinOp(_BinaryOp):
             self._schemas.get(left.schema, right.schema),
             bag=left.bag or right.bag,
         )
-        if _batch_mode(self, left.distinct_count()):
-            pairs, pair_counts = self._probe_pairs(left, right)
-            if pair_counts is None:
-                result._rows = dict.fromkeys(pairs, 1)
-            else:
-                result._rows = dict(zip(pairs, pair_counts))
-            _trace(context, "join", len(left) + len(right), len(result))
-            return result
         buckets = _hash_buckets(
             right, self.right_keys, True, left.distinct_count()
         )
@@ -1478,6 +1390,12 @@ class HashSemiJoinOp(_BinaryOp):
        never match, mirroring the predicate path where ``NULL = NULL`` is
        *unknown* — while regime 2 mirrors the naive hash path, which
        matches NULL keys by identity.
+
+    All three regimes are row-at-a-time dict selections.  A fused region
+    sourced here (:class:`FusedPipelineOp`) runs the very same selection
+    and only hands the survivors upward as a batch, so its select/project
+    stages run as whole-column kernels without a separate semijoin kernel
+    to keep in step with the row path.
     """
 
     op_name = "semijoin"
@@ -1496,14 +1414,14 @@ class HashSemiJoinOp(_BinaryOp):
         self.right_keys = _KeySide(right_keys, "right")
         self._residual = _PredicateCache(residual)
 
-    def _probe_dict(self, left: Relation, right: Relation, batch: bool) -> dict:
+    def _probe_dict(self, left: Relation, right: Relation) -> dict:
         """The selected ``{row: count}`` dict, shared by both result forms.
 
-        ``batch`` picks the whole-column inner loops; regime selection and
-        every index interaction (build touches, amortization accounting,
-        probe touches) are identical either way, which is what keeps
-        ``IndexUsage`` ledgers byte-identical across row, batch, and fused
-        execution.
+        Row execution and a fused region over this operator both select
+        through here, so regime choice and every index interaction (build
+        touches, amortization accounting, probe touches) are one code
+        path — which is what keeps ``IndexUsage`` ledgers byte-identical
+        across row and fused execution.
         """
         keep = self.keep_matching
         left_key, positions = self.left_keys.bind(left.schema)
@@ -1512,26 +1430,6 @@ class HashSemiJoinOp(_BinaryOp):
             buckets = _hash_buckets(right, self.right_keys, True, probes)
             residual = self._residual.bind(left.schema, right.schema)
             get_bucket = buckets.get
-            if batch:
-                src_rows = left._rows
-                # itemgetter extracts plain-column keys at C speed with the
-                # same convention as key_fn (bare value / tuple).
-                extract = (
-                    _itemgetter(*positions) if positions is not None else left_key
-                )
-                keys = map(extract, src_rows)
-                return {
-                    lrow: count
-                    for (lrow, count), key in zip(src_rows.items(), keys)
-                    if (
-                        not _key_has_null(key)
-                        and any(
-                            residual(lrow, rrow) is True
-                            for rrow in get_bucket(key) or ()
-                        )
-                    )
-                    is keep
-                }
 
             def has_match(lrow: tuple) -> bool:
                 key = left_key(lrow)
@@ -1569,19 +1467,6 @@ class HashSemiJoinOp(_BinaryOp):
                     for row in bucket:
                         selected[row] = count_of(row)
             return selected
-        if batch:
-            src_rows = left._rows
-            # Key extraction, membership, and the dict fill all run as
-            # chained C iterators (map/compress); only a NULL-matching
-            # quirk would differ, and regime 2 matches NULL by identity
-            # exactly like the row path's hash membership.
-            extract = (
-                _itemgetter(*positions) if positions is not None else left_key
-            )
-            mask = map(right_keys.__contains__, map(extract, src_rows))
-            if not keep:
-                mask = map(_not, mask)
-            return dict(compress(src_rows.items(), mask))
         if keep:
             return {
                 row: count
@@ -1597,16 +1482,15 @@ class HashSemiJoinOp(_BinaryOp):
     def execute(self, context) -> Relation:
         left = self.left.execute(context)
         right = self.right.execute(context)
-        batch = _batch_mode(self, left.distinct_count())
         result = Relation(left.schema, bag=left.bag)
-        result._rows = self._probe_dict(left, right, batch)
+        result._rows = self._probe_dict(left, right)
         _trace(context, self.op_name, len(left) + len(right), len(result))
         return result
 
     def produce_batch(self, context):
         left = self.left.execute(context)
         right = self.right.execute(context)
-        selected = self._probe_dict(left, right, batch=True)
+        selected = self._probe_dict(left, right)
         counts = None
         if left.bag and any(count != 1 for count in selected.values()):
             counts = list(selected.values())
@@ -1686,18 +1570,6 @@ class NestedLoopSemiOp(_BinaryOp):
 class NestedLoopAntiOp(NestedLoopSemiOp):
     op_name = "antijoin"
     keep_matching = False
-
-
-#: Operators carrying a whole-column batch path (HashAntiJoinOp is covered
-#: through its HashSemiJoinOp base).
-_BATCH_OPERATORS = (
-    FilterOp,
-    ProjectOp,
-    HashJoinOp,
-    HashSemiJoinOp,
-    UnionOp,
-    DifferenceOp,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -1798,15 +1670,20 @@ def _shift_predicate(node, schema: RelationSchema, shift: int):
 class FusedPipelineOp(PhysicalOperator):
     """A maximal select/project chain executed as one batch kernel.
 
+    This is the only entry into whole-column execution: every other
+    operator runs its row-at-a-time ``execute``, which stays the
+    reference the columnar path is tested against.
+
     ``root`` is the chain's topmost stage operator; ``source`` is the
     operator feeding the chain (scan, Δ-scan, hash join, or hash
-    semi/antijoin).  The region executes by asking the root for a
-    :class:`ColumnBatch` — each stage pulls its child's batch, applies
-    its kernel to the row list, and hands the batch upward — so output
-    tuples and the result dict are built exactly once, at the region
-    boundary, instead of per operator.  The stage chain stays intact
-    underneath (``children()`` exposes it), so plan walks (explain,
-    hints, eligibility annotation) and the unfused fallback see the
+    semi/antijoin).  When the region is :attr:`fuse_eligible` it
+    executes by asking the root for a :class:`ColumnBatch` — each stage
+    pulls its child's batch, applies its kernel to the row list, and
+    hands the batch upward — so output tuples and the result dict are
+    built exactly once, at the region boundary, instead of per operator.
+    Otherwise it runs the stage chain row-at-a-time.  The stage chain
+    stays intact underneath (``children()`` exposes it), so plan walks
+    (explain, hints, eligibility annotation) and the row path see the
     original operators.
 
     Over an equi hash-join source the region goes one step further:
@@ -1822,6 +1699,11 @@ class FusedPipelineOp(PhysicalOperator):
     """
 
     op_name = "fused"
+
+    #: Set by :func:`annotate_batch_eligibility` when the source's
+    #: estimated output clears the batch floor; Δ-sourced regions stay
+    #: on the row path.
+    fuse_eligible = False
 
     def __init__(
         self,
@@ -1848,7 +1730,7 @@ class FusedPipelineOp(PhysicalOperator):
         return (self.root,)
 
     def execute(self, context) -> Relation:
-        if not _fuse_mode(self):
+        if not self.fuse_eligible:
             return self.root.execute(context)
         source = self.source
         if (
@@ -1971,13 +1853,11 @@ _FUSE_SOURCES = (ScanOp, DeltaScanOp, HashJoinOp, HashSemiJoinOp)
 def fuse_pipelines(plan: PhysicalOperator) -> PhysicalOperator:
     """Wrap maximal select/project pipeline chains in fused regions.
 
-    A chain of :data:`_FUSE_STAGES` operators over a :data:`_FUSE_SOURCES`
-    operator forms a region when fusion can actually skip an operator
-    boundary: join/semi sources pay the dominant cost in output-tuple
-    construction, so one stage suffices; scan sources only win once two
-    stages collapse (a single stage over a scan already runs its whole
-    batch kernel without an intermediate).  Runs at compile time, before
-    the plan enters the cache.
+    Any chain of one or more :data:`_FUSE_STAGES` operators over a
+    :data:`_FUSE_SOURCES` operator forms a region.  Whether a region
+    actually runs column-wise is decided afterwards, per region, by
+    :func:`annotate_batch_eligibility`.  Runs at compile time, before the
+    plan enters the cache.
     """
     return _fuse(plan)
 
@@ -1990,10 +1870,8 @@ def _fuse(op: PhysicalOperator) -> PhysicalOperator:
             stages.append(cursor)
             cursor = cursor.child
         if isinstance(cursor, _FUSE_SOURCES):
-            needed = 1 if isinstance(cursor, _BinaryOp) else 2
-            if len(stages) >= needed:
-                _fuse_children(cursor)
-                return FusedPipelineOp(op, cursor, tuple(stages))
+            _fuse_children(cursor)
+            return FusedPipelineOp(op, cursor, tuple(stages))
         # No region at this chain; regions may still form below it.
         stages[-1].child = _fuse(cursor)
         return op

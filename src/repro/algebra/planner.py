@@ -32,8 +32,8 @@ produced by parsing or by the calculus-to-algebra translation of Section
   the evaluation context exposes a database.
 
 Engine resolution order for :func:`evaluate`: the explicit ``engine``
-argument, then the evaluation context's ``engine`` attribute, then the
-module default (:func:`set_default_engine`).
+argument, then the evaluation context's ``engine`` attribute, then
+``"planned"``.
 """
 
 from __future__ import annotations
@@ -54,8 +54,6 @@ from repro.errors import EvaluationError
 
 ENGINES = ("naive", "planned")
 
-_default_engine = "planned"
-
 # Structural plan cache: Expression -> PhysicalOperator.  Bounded LRU —
 # integrity programs and statement shapes are few; unbounded literal-heavy
 # workloads must not grow it without limit, nor push out the rule plans
@@ -67,24 +65,12 @@ _plan_cache_misses = 0
 _plan_cache_evictions = 0
 
 
-def set_default_engine(engine: str) -> None:
-    """Set the process-wide default evaluation backend."""
-    global _default_engine
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}")
-    _default_engine = engine
-
-
-def get_default_engine() -> str:
-    return _default_engine
-
-
 def resolve_engine(context=None, engine: Optional[str] = None) -> str:
-    """The backend to use: explicit arg, context attribute, then default."""
+    """The backend to use: explicit arg, context attribute, then planned."""
     if engine is None:
         engine = getattr(context, "engine", None)
     if engine is None:
-        return _default_engine
+        return "planned"
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}")
     return engine
@@ -140,13 +126,15 @@ def compile_expression(
 
     Lowering also forms fused pipeline regions (:func:`~repro.algebra.
     physical.fuse_pipelines` — maximal select/project chains over a
-    scan/join/semijoin source execute as one batch kernel) and decides,
-    per operator, whether the whole-column batch path is worth taking
-    (:func:`~repro.algebra.physical.annotate_batch_eligibility`):
-    operators whose estimated input cardinality clears the batch floor
-    get flagged before the plan is published to the (shared, concurrently
-    executed) plan cache; Δ-scans price at |Δ| and stay row-at-a-time,
-    and Δ-sourced regions likewise stay unfused.
+    scan/join/semijoin source), the only whole-column execution path, and
+    decides per region whether it is worth taking (:func:`~repro.algebra.
+    physical.annotate_batch_eligibility`): regions whose source's
+    estimated cardinality clears the batch floor are flagged before the
+    plan is published to the (shared, concurrently executed) plan cache.
+    Differentials — ``E.Delta`` leaves and ``R@plus``/``R@minus``
+    references alike — lower to one Δ-scan leaf priced at |Δ|, so
+    Δ-sourced regions stay row-at-a-time.  Every other operator executes
+    row-at-a-time.
     """
     if optimize:
         expression = optimize_expression(expression)
@@ -157,6 +145,9 @@ def compile_expression(
 
 def _lower(expr: E.Expression) -> X.PhysicalOperator:
     if isinstance(expr, E.RelationRef):
+        base, _, suffix = expr.name.partition("@")
+        if suffix in (naming.PLUS_SUFFIX, naming.MINUS_SUFFIX):
+            return X.DeltaScanOp(base, suffix)
         return X.ScanOp(expr.name)
     if isinstance(expr, E.Delta):
         return X.DeltaScanOp(expr.relation, expr.kind)
@@ -164,11 +155,11 @@ def _lower(expr: E.Expression) -> X.PhysicalOperator:
         return X.LiteralOp(expr.rows)
     if isinstance(expr, E.Select):
         child = _lower(expr.input)
-        if isinstance(child, X.ScanOp):
+        if isinstance(child, (X.ScanOp, X.DeltaScanOp)):
             attrs, values, residual = _const_equalities(expr.predicate)
             if attrs:
                 return X.IndexSelectOp(
-                    child.name, attrs, values, residual, expr.predicate
+                    child, attrs, values, residual, expr.predicate
                 )
         return X.FilterOp(child, expr.predicate)
     if isinstance(expr, E.Project):
@@ -866,10 +857,11 @@ def plan_estimate(
         return cached[1]
     plan = get_plan(expression)
     estimate = plan.estimate(stats)
-    # The same drift event refreshes the plan's batch-vs-row choices from
-    # the observed cardinalities (a "big" base relation that is actually
-    # tiny stops batching; a fat observed |Δ| EWMA starts).  Safe on shared
-    # plans: both paths are verdict-identical, the flags only steer cost.
+    # The same drift event refreshes the plan's fused-vs-row choices from
+    # the observed cardinalities (a region over a "big" base relation that
+    # is actually tiny stops running column-wise; one over a fat observed
+    # |Δ| EWMA starts).  Safe on shared plans: both paths are
+    # verdict-identical, the flags only steer cost.
     X.annotate_batch_eligibility(plan, stats)
     if len(per_database) >= _ESTIMATE_CACHE_LIMIT:
         per_database.pop(next(iter(per_database)))

@@ -1,4 +1,4 @@
-"""ColumnBatch conversion/packing, kernel semantics, batch policy, LRU caches."""
+"""ColumnBatch conversion/packing, kernel semantics, LRU caches."""
 
 import pickle
 
@@ -144,20 +144,6 @@ class TestWireHelpers:
         assert encoded["t"][1] is None
         decoded = columnar.decode_differentials(encoded)
         assert decoded["t"] == (plus, None)
-
-
-class TestBatchPolicy:
-    def test_set_returns_previous(self):
-        previous = columnar.set_batch_policy("always")
-        try:
-            assert previous == "auto"
-            assert columnar.batch_policy() == "always"
-        finally:
-            columnar.set_batch_policy(previous)
-
-    def test_rejects_unknown_policy(self):
-        with pytest.raises(ValueError):
-            columnar.set_batch_policy("sometimes")
 
 
 class TestKernels:

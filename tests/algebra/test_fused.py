@@ -4,14 +4,28 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algebra import columnar
 from repro.algebra import expressions as E
 from repro.algebra import physical as X
 from repro.algebra import planner
 from repro.algebra import predicates as P
 from repro.algebra.evaluation import StandaloneContext, TracingContext
+from repro.algebra.optimizer import optimize_expression
 from repro.engine import Database, DatabaseSchema, RelationSchema
 from repro.engine.types import INT
+
+
+def _row_plan(expression) -> X.PhysicalOperator:
+    """The expression lowered without fused regions: row execution only."""
+    return planner._lower(optimize_expression(expression))
+
+
+def _fused_plan(expression) -> X.PhysicalOperator:
+    """A private compiled plan with every region forced column-wise."""
+    plan = planner.compile_expression(expression)
+    for op in X._walk_plan(plan):
+        if isinstance(op, X.FusedPipelineOp):
+            op.fuse_eligible = True
+    return plan
 
 
 @pytest.fixture
@@ -57,6 +71,19 @@ def _project_select_scan() -> E.Expression:
     )
 
 
+def _count_apply_batch(monkeypatch) -> list:
+    """Count whole-column stage executions: ``[n]``, updated in place."""
+    calls = [0]
+    apply_batch = X.FilterOp.apply_batch
+
+    def counting(self, batch, context):
+        calls[0] += 1
+        return apply_batch(self, batch, context)
+
+    monkeypatch.setattr(X.FilterOp, "apply_batch", counting)
+    return calls
+
+
 class TestRegionFormation:
     def test_select_project_join_forms_a_region(self):
         plan = planner.compile_expression(_select_project_join())
@@ -79,13 +106,74 @@ class TestRegionFormation:
         assert isinstance(plan.source, X.ScanOp)
         assert plan.describe() == "fused[project<-select<-scan]"
 
-    def test_single_stage_over_a_scan_declines(self):
-        # One batch kernel over a scan already runs without an
-        # intermediate; there is no boundary for fusion to remove.
-        plan = planner.compile_expression(
-            E.Select(E.RelationRef("r"), P.Comparison("<", P.ColRef(2), P.ColRef(1)))
+    def test_single_stage_over_a_scan_forms_a_region(self, ctx, monkeypatch):
+        # A region is the only whole-column path, so one stage over a
+        # base scan suffices; the default base estimate makes it eligible
+        # and it runs its stage kernel.
+        expression = E.Select(
+            E.RelationRef("r"), P.Comparison("<", P.ColRef(2), P.ColRef(1))
         )
-        assert isinstance(plan, X.FilterOp)
+        plan = planner.compile_expression(expression)
+        assert isinstance(plan, X.FusedPipelineOp)
+        assert plan.describe() == "fused[select<-scan]"
+        assert plan.fuse_eligible is True
+        kernels = _count_apply_batch(monkeypatch)
+        assert plan.execute(ctx) == _row_plan(expression).execute(ctx)
+        assert kernels == [1]
+
+    def test_single_stage_over_a_delta_scan_stays_on_the_row_path(
+        self, db, monkeypatch
+    ):
+        expression = E.Select(
+            E.Delta("r", "plus"), P.Comparison("<", P.ColRef(2), P.ColRef(1))
+        )
+        plan = planner.compile_expression(expression)
+        assert isinstance(plan, X.FusedPipelineOp)
+        assert isinstance(plan.source, X.DeltaScanOp)
+        assert plan.fuse_eligible is False
+        kernels = _count_apply_batch(monkeypatch)
+        context = StandaloneContext({"r@plus": db.relation("r")})
+        assert plan.execute(context) == _row_plan(expression).execute(context)
+        assert kernels == [0]
+
+    def test_differential_references_lower_to_the_delta_leaf(self):
+        # ``R@plus`` named as a plain relation reference is the same
+        # differential as ``E.Delta(R, "plus")``: one leaf, priced at |Δ|.
+        expression = E.Project(
+            E.RelationRef("account@plus"),
+            (E.ProjectItem(P.ColRef(1)), E.ProjectItem(P.ColRef(2))),
+        )
+        plan = planner.compile_expression(expression)
+        assert isinstance(plan, X.FusedPipelineOp)
+        leaf = plan.source
+        assert isinstance(leaf, X.DeltaScanOp)
+        assert (leaf.relation, leaf.kind, leaf.name) == (
+            "account",
+            "plus",
+            "account@plus",
+        )
+        assert leaf.estimate().rows == X.DEFAULT_DELTA_CARDINALITY == 16.0
+        assert plan.fuse_eligible is False
+        assert isinstance(
+            planner.compile_expression(E.RelationRef("account@minus")),
+            X.DeltaScanOp,
+        )
+        assert isinstance(
+            planner.compile_expression(E.RelationRef("account@old")), X.ScanOp
+        )
+
+    def test_equality_select_over_either_leaf_uses_the_index_path(self):
+        for leaf in (E.RelationRef("r@plus"), E.Delta("r", "plus"), E.RelationRef("r")):
+            plan = planner.compile_expression(
+                E.Select(leaf, P.Comparison("=", P.ColRef(1), P.Const(3)))
+            )
+            assert isinstance(plan, X.IndexSelectOp)
+            assert plan.name == leaf.name
+        delta_select = planner.compile_expression(
+            E.Select(E.Delta("r", "plus"), P.Comparison("=", P.ColRef(1), P.Const(3)))
+        )
+        # Priced from |Δ|, not from a base relation's default cardinality.
+        assert delta_select.estimate().rows == 1.0
 
     def test_semijoin_sources_fuse_and_antijoin_inherits(self):
         for ctor, tail in ((E.SemiJoin, "semijoin"), (E.AntiJoin, "antijoin")):
@@ -227,43 +315,17 @@ class TestJoinPushdown:
             ),
             (E.ProjectItem(P.ColRef(1)), E.ProjectItem(P.ColRef(4))),
         )
-        plan = planner.get_plan(expression)
-        previous_batch = columnar.batch_policy()
-        previous_fusion = columnar.fusion_policy()
-        try:
-            columnar.set_batch_policy("never")
-            columnar.set_fusion_policy("never")
-            row = plan.execute(ctx)
-            columnar.set_batch_policy("always")
-            columnar.set_fusion_policy("always")
-            fused = plan.execute(ctx)
-        finally:
-            columnar.set_batch_policy(previous_batch)
-            columnar.set_fusion_policy(previous_fusion)
+        row = _row_plan(expression).execute(ctx)
+        fused = _fused_plan(expression).execute(ctx)
         assert fused == row
 
 
 class TestRegionExecution:
-    def test_fused_matches_row_and_batch(self, ctx):
-        plan = planner.get_plan(_select_project_join())
-        results = {}
-        previous_batch = columnar.batch_policy()
-        previous_fusion = columnar.fusion_policy()
-        try:
-            for mode, batch, fusion in (
-                ("row", "never", "never"),
-                ("batch", "always", "never"),
-                ("fused", "always", "always"),
-            ):
-                columnar.set_batch_policy(batch)
-                columnar.set_fusion_policy(fusion)
-                results[mode] = plan.execute(ctx)
-        finally:
-            columnar.set_batch_policy(previous_batch)
-            columnar.set_fusion_policy(previous_fusion)
-        assert results["fused"] == results["row"]
-        assert results["batch"] == results["row"]
-        assert len(results["fused"]) == len(results["row"])
+    def test_fused_matches_row(self, ctx):
+        row = _row_plan(_select_project_join()).execute(ctx)
+        fused = _fused_plan(_select_project_join()).execute(ctx)
+        assert fused == row
+        assert len(fused) == len(row)
 
     def test_estimate_and_children_delegate_to_the_chain(self):
         plan = planner.compile_expression(_select_project_join())
@@ -272,8 +334,9 @@ class TestRegionExecution:
 
     def test_delta_sourced_regions_stay_unfused_under_auto(self, db):
         # Differentials are estimated tiny (a handful of rows), far below
-        # the batch eligibility floor: under "auto" the region falls back
-        # to the row path even though the shape fused at compile time.
+        # the batch eligibility floor: the planner's automatic choice
+        # keeps the region on the row path even though the shape fused
+        # at compile time.
         expression = E.Project(
             E.Select(
                 E.Delta("r", "plus"), P.Comparison("<", P.ColRef(2), P.ColRef(1))
@@ -284,23 +347,16 @@ class TestRegionExecution:
         assert isinstance(plan, X.FusedPipelineOp)
         assert isinstance(plan.source, X.DeltaScanOp)
         assert plan.fuse_eligible is False
-        assert X._fuse_mode(plan) is False
 
     def test_traced_execution_reports_the_source_operators(self, db):
         # A fused region still traces its source operator (the join emits
-        # its own trace from the batch path), so observability of the
+        # its own trace from its columnar path), so observability of the
         # audit pipeline does not regress when fusion is on.
         context = TracingContext(
             StandaloneContext(
                 {"r": db.relation("r"), "s": db.relation("s")}, engine="planned"
             )
         )
-        previous = columnar.set_fusion_policy("always")
-        previous_batch = columnar.set_batch_policy("always")
-        try:
-            planner.get_plan(_select_project_join()).execute(context)
-        finally:
-            columnar.set_fusion_policy(previous)
-            columnar.set_batch_policy(previous_batch)
+        _fused_plan(_select_project_join()).execute(context)
         traced = [op for op, _, _ in context.tracer.records]
         assert "join" in traced

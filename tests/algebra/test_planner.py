@@ -107,7 +107,10 @@ class TestLowering:
         expr = E.Select(
             E.RelationRef("fk"), P.Comparison("=", P.ColRef("ref"), P.Const(NULL))
         )
-        assert isinstance(planner.compile_expression(expr), X.FilterOp)
+        plan = planner.compile_expression(expr)
+        # A plain filter stage, wrapped in its one-stage fused region.
+        assert isinstance(plan, X.FusedPipelineOp)
+        assert isinstance(plan.root, X.FilterOp)
 
     def test_explain_renders_tree(self):
         text = planner.explain(REFERENTIAL)
@@ -149,7 +152,8 @@ class TestExecution:
 
 class TestEngineSwitch:
     def test_default_engine_is_planned(self):
-        assert planner.get_default_engine() == "planned"
+        assert planner.resolve_engine() == "planned"
+        assert planner.resolve_engine(StandaloneContext({})) == "planned"
 
     def test_context_engine_wins_over_default(self, db):
         ctx = StandaloneContext({"fk": db.relation("fk")}, engine="naive")
@@ -161,9 +165,7 @@ class TestEngineSwitch:
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
-            planner.resolve_engine(None, "quantum")
-        with pytest.raises(ValueError):
-            planner.set_default_engine("quantum")
+            planner.resolve_engine(engine="quantum")
 
     def test_both_engines_produce_equal_results(self, ctx):
         naive = evaluate_expression(REFERENTIAL, ctx, engine="naive")

@@ -14,9 +14,9 @@ distinct rows (so the distinct-level convention lets plans reuse them), and
 the convention makes set mode a special case of bag mode.  What matters is
 that *every* backend implements the same convention — asserted here on
 duplicate-heavy inputs, which maximize the observable difference between
-the conventions.  The planned backend is additionally pinned in all
-three execution modes (row, per-operator batch, fused), because the
-counts-aware batch pair kernel is exactly where a multiplicity-correct
+the conventions.  The planned backend is additionally pinned on both
+execution paths (row and fused), because the counts-aware pair kernel of
+a fused join region is exactly where a multiplicity-correct
 implementation would silently diverge from the convention.
 """
 
@@ -25,13 +25,13 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.algebra import columnar, planner
 from repro.algebra import expressions as E
 from repro.algebra import predicates as P
 from repro.algebra.evaluation import StandaloneContext
 from repro.engine import Relation
 
 from . import strategies as S
+from .plans import fused_plan, row_plan
 
 _SETTINGS = settings(
     max_examples=150,
@@ -93,31 +93,31 @@ def test_bag_join_convention_agrees_on_duplicate_heavy_inputs(
         expression = E.Intersection(E.RelationRef("r"), E.RelationRef("s"))
     context = StandaloneContext({"r": r, "s": s})
     naive = expression.evaluate(context)
-    plan = planner.get_plan(expression)
-    previous_batch = columnar.batch_policy()
-    previous_fusion = columnar.fusion_policy()
-    try:
-        for mode, batch, fusion in (
-            ("row", "never", "never"),
-            ("batch", "always", "never"),
-            ("fused", "always", "always"),
-        ):
-            columnar.set_batch_policy(batch)
-            columnar.set_fusion_policy(fusion)
-            planned = plan.execute(context)
-            assert naive == planned, (
-                f"bag convention divergence on {op} "
-                f"(residual={residual}, mode={mode}):\n"
-                f"  naive:   {naive.sorted_rows()}\n"
-                f"  planned: {planned.sorted_rows()}"
-            )
-            # The convention itself: every distinct matching pair appears
-            # exactly probe-side-multiplicity times, independent of right
-            # multiplicities.
-            if op == "join":
-                for row in planned.rows():
-                    left_part = row[: schema.relation("r").arity]
-                    assert planned.multiplicity(row) == r.multiplicity(left_part)
-    finally:
-        columnar.set_batch_policy(previous_batch)
-        columnar.set_fusion_policy(previous_fusion)
+    # A keep-everything select stage (no value is NULL) over the operator
+    # forms a fused region, so the fused plan runs the source's columnar
+    # form — for joins, the counts-aware pair kernel.  It reads both join
+    # sides, so it stays above the pair construction instead of being
+    # pushed down.
+    arity = 4 if op == "join" else 2
+    staged = E.Select(
+        expression,
+        P.Not(P.IsNull(P.Arith("+", P.ColRef(1), P.ColRef(arity)))),
+    )
+    for mode, plan in (
+        ("row", row_plan(staged)),
+        ("fused", fused_plan(staged)),
+    ):
+        planned = plan.execute(context)
+        assert naive == planned, (
+            f"bag convention divergence on {op} "
+            f"(residual={residual}, mode={mode}):\n"
+            f"  naive:   {naive.sorted_rows()}\n"
+            f"  planned: {planned.sorted_rows()}"
+        )
+        # The convention itself: every distinct matching pair appears
+        # exactly probe-side-multiplicity times, independent of right
+        # multiplicities.
+        if op == "join":
+            for row in planned.rows():
+                left_part = row[: schema.relation("r").arity]
+                assert planned.multiplicity(row) == r.multiplicity(left_part)

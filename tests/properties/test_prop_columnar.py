@@ -1,15 +1,16 @@
-"""Property: batch and fused execution are result-equivalent to row execution.
+"""Property: columnar (fused) execution is result-equivalent to row execution.
 
-For random algebra expressions and random database states, running the
-*same* physical plan in all three execution modes — row-at-a-time (the
-differential oracle), per-operator whole-column kernels, and fused
-pipeline regions — must produce the exact same relation — tuples *and*
+For random algebra expressions and random database states, the row plan
+(the expression lowered without fused regions: every operator runs its
+row-at-a-time ``execute``, the differential oracle) and the fused plan
+(the same expression compiled with every fused region forced onto its
+whole-column path) must produce the exact same relation — tuples *and*
 multiplicities — in set mode and bag mode, with and without hash
 indexes, over plain and overlay inputs, and over NULL-bearing columns.
-When one mode raises, every mode must raise.  Each mode starts from a
+When one plan raises, the other must raise.  Each plan starts from a
 freshly loaded database, and the index usage ledgers
 (:class:`~repro.engine.indexes.IndexUsage`) must end identical: the
-batch and fused paths may not silently change which regimes touch which
+columnar path may not silently change which regimes touch which
 indexes how often.
 
 Also: :class:`~repro.algebra.columnar.ColumnBatch` and columnar-backed
@@ -27,7 +28,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.algebra import columnar, planner
+from repro.algebra import columnar
 from repro.algebra.evaluation import StandaloneContext
 from repro.engine import Database, DatabaseSchema, Relation, RelationSchema
 from repro.engine.overlay import OverlayRelation
@@ -37,6 +38,7 @@ from repro.engine.types import ANY, INT, NULL
 from repro.errors import ReproError
 
 from . import strategies as S
+from .plans import fused_plan, row_plan
 
 _SETTINGS = settings(
     max_examples=100,
@@ -77,14 +79,6 @@ def _run(fn):
         return None, error
 
 
-#: (mode, batch policy, fusion policy) — row is the differential oracle.
-_MODES = (
-    ("row", "never", "never"),
-    ("batch", "always", "never"),
-    ("fused", "always", "always"),
-)
-
-
 def _usage_snapshot(relations) -> dict:
     """Every index's full usage ledger, keyed by (relation, positions)."""
     snapshot = {}
@@ -102,48 +96,41 @@ def _usage_snapshot(relations) -> dict:
     return snapshot
 
 
-def _assert_policies_agree(expression, make_relations):
-    """Execute the planned backend in every mode over fresh inputs.
+def _assert_paths_agree(expression, make_relations):
+    """Execute the row plan and the fused plan over fresh inputs.
 
     ``make_relations`` builds an identical relation dict per call, so
-    each mode starts from the same state (index builds during one run
-    cannot leak into the next) and the usage ledgers are comparable.
+    each plan starts from the same state (index builds during one run
+    cannot leak into the other) and the usage ledgers are comparable.
     """
-    plan = planner.get_plan(expression)
     outcomes = {}
-    previous_batch = columnar.batch_policy()
-    previous_fusion = columnar.fusion_policy()
-    try:
-        for mode, batch, fusion in _MODES:
-            columnar.set_batch_policy(batch)
-            columnar.set_fusion_policy(fusion)
-            relations = make_relations()
-            context = StandaloneContext(relations, engine="planned")
-            result, error = _run(lambda: plan.execute(context))
-            outcomes[mode] = (result, error, _usage_snapshot(relations))
-    finally:
-        columnar.set_batch_policy(previous_batch)
-        columnar.set_fusion_policy(previous_fusion)
+    for mode, plan in (
+        ("row", row_plan(expression)),
+        ("fused", fused_plan(expression)),
+    ):
+        relations = make_relations()
+        context = StandaloneContext(relations, engine="planned")
+        result, error = _run(lambda: plan.execute(context))
+        outcomes[mode] = (result, error, _usage_snapshot(relations))
     row_result, row_error, row_usage = outcomes["row"]
-    for mode in ("batch", "fused"):
-        result, error, usage = outcomes[mode]
-        if row_error is not None or error is not None:
-            assert row_error is not None and error is not None, (
-                f"error divergence on {expression!r}: "
-                f"row={row_error!r} {mode}={error!r}"
-            )
-            continue
-        assert result == row_result, (
-            f"result divergence on {expression!r}:\n"
-            f"  row:   {row_result.sorted_rows()}\n"
-            f"  {mode}: {result.sorted_rows()}"
+    result, error, usage = outcomes["fused"]
+    if row_error is not None or error is not None:
+        assert row_error is not None and error is not None, (
+            f"error divergence on {expression!r}: "
+            f"row={row_error!r} fused={error!r}"
         )
-        assert len(result) == len(row_result)
-        assert usage == row_usage, (
-            f"index usage divergence on {expression!r}:\n"
-            f"  row:   {row_usage}\n"
-            f"  {mode}: {usage}"
-        )
+        return
+    assert result == row_result, (
+        f"result divergence on {expression!r}:\n"
+        f"  row:   {row_result.sorted_rows()}\n"
+        f"  fused: {result.sorted_rows()}"
+    )
+    assert len(result) == len(row_result)
+    assert usage == row_usage, (
+        f"index usage divergence on {expression!r}:\n"
+        f"  row:   {row_usage}\n"
+        f"  fused: {usage}"
+    )
 
 
 @given(
@@ -158,7 +145,7 @@ def test_batch_equals_row(expression, rows_r, rows_s, bag):
         database = _database(rows_r, rows_s, bag)
         return {"r": database.relation("r"), "s": database.relation("s")}
 
-    _assert_policies_agree(expression, make_relations)
+    _assert_paths_agree(expression, make_relations)
 
 
 @given(
@@ -172,8 +159,8 @@ def test_batch_equals_row_with_indexes(expression, rows_r, rows_s, bag):
     """Same property with hash indexes installed on every column.
 
     Indexed regimes (bucket-lookup selection, distinct-key semijoin
-    probing) must stay byte-identical regardless of the batch and fusion
-    policies — including the usage ledgers the index advisor reads.
+    probing) must stay byte-identical on both paths — including the
+    usage ledgers the index advisor reads.
     """
 
     def make_relations():
@@ -182,7 +169,7 @@ def test_batch_equals_row_with_indexes(expression, rows_r, rows_s, bag):
         database.create_index("s", ["d"])
         return {"r": database.relation("r"), "s": database.relation("s")}
 
-    _assert_policies_agree(expression, make_relations)
+    _assert_paths_agree(expression, make_relations)
 
 
 @given(
@@ -213,7 +200,7 @@ def test_batch_equals_row_over_overlays(
         overlay = OverlayRelation(base, plus, minus)
         return {"r": overlay, "s": database.relation("s")}
 
-    _assert_policies_agree(expression, make_relations)
+    _assert_paths_agree(expression, make_relations)
 
 
 @given(
@@ -237,7 +224,7 @@ def test_batch_equals_row_with_nulls(expression, rows_r, rows_s, bag):
         database.load("s", rows_s)
         return {"r": database.relation("r"), "s": database.relation("s")}
 
-    _assert_policies_agree(expression, make_relations)
+    _assert_paths_agree(expression, make_relations)
 
 
 # -- fusion-shaped chains --------------------------------------------------------
@@ -295,7 +282,7 @@ def chain_queries(draw):
 )
 @_SETTINGS
 def test_fused_equals_row_on_chains(expression, rows_r, rows_s, bag, indexed):
-    """Fused regions agree with both unfused paths on fusion-shaped plans."""
+    """Fused regions agree with the row path on fusion-shaped plans."""
 
     def make_relations():
         database = _database(rows_r, rows_s, bag)
@@ -304,7 +291,7 @@ def test_fused_equals_row_on_chains(expression, rows_r, rows_s, bag, indexed):
             database.create_index("s", ["c"])
         return {"r": database.relation("r"), "s": database.relation("s")}
 
-    _assert_policies_agree(expression, make_relations)
+    _assert_paths_agree(expression, make_relations)
 
 
 @given(
@@ -330,7 +317,7 @@ def test_fused_equals_row_over_columnar_relations(expression, rows_r, rows_s, ba
             for name in ("r", "s")
         }
 
-    _assert_policies_agree(expression, make_relations)
+    _assert_paths_agree(expression, make_relations)
 
 
 # -- wire-format round-trips ---------------------------------------------------
